@@ -1,17 +1,29 @@
 //! Pluggable candidate generation for [`VectorStore`] searches.
 //!
 //! A [`CandidateSource`] decides, per segment, which rows are worth scoring
-//! for a query. [`ExactScan`] nominates everything; [`LshCandidates`] probes
-//! the segment's banded LSH buckets — the paper's §4.1 blocking step turned
-//! into a query-time accelerator. Custom sources (e.g. metadata filters,
-//! type-constrained search) implement the same trait.
+//! for a query. [`ExactScan`] nominates everything; [`LshCandidates`]
+//! nominates the rows sharing a banded LSH bucket with the query — the
+//! paper's §4.1 blocking step turned into a query-time accelerator. Custom
+//! sources (e.g. metadata filters, type-constrained search) implement the
+//! same trait.
+//!
+//! LSH blocking is a *marker* ([`Candidates::BandMatch`]) that the store
+//! resolves, because the cheapest way to resolve it depends on the scoring
+//! tier. The exact tier walks the segment's band buckets and scores their
+//! union ([`VectorStore::band_union`]). The quantized tier tests band
+//! membership row by row inside its coarse Hamming sweep: a row is a
+//! candidate iff its packed signature agrees with the query's on every bit
+//! of some band, which the sweep reads off the XOR words it popcounts
+//! anyway. That costs the same per row however full the buckets are — and
+//! real embeddings fill them: on TabBiN table embeddings nearly every row
+//! shares some band with the query, so a bucket union would gather, sort
+//! and dedup ~all of a segment's rows only to sweep them all anyway.
 //!
 //! Sources receive a [`QueryContext`] rather than a bare vector: the store
 //! computes per-query state (the normalized vector, and the LSH signature
 //! when LSH is enabled) exactly once, so probing N segments never repeats
 //! the `bands * rows_per_band` hyperplane dot products per segment.
 
-use crate::lsh::{band_key, signature_of};
 use crate::store::VectorStore;
 
 /// Per-query state shared across every segment probe of one search.
@@ -35,6 +47,10 @@ pub enum Candidates {
     All,
     /// Score only these rows (tombstoned or out-of-range rows are skipped).
     Subset(Vec<u32>),
+    /// Score the rows sharing at least one LSH band bucket with the query
+    /// (tombstoned rows are skipped). Only meaningful on a store with LSH;
+    /// the store resolves it per tier (see the [module docs](self)).
+    BandMatch,
 }
 
 /// A per-segment candidate generator. `Sync` because batched searches call
@@ -67,30 +83,17 @@ impl CandidateSource for ExactScan {
 pub struct LshCandidates;
 
 impl CandidateSource for LshCandidates {
-    fn candidates(&self, store: &VectorStore, seg: usize, query: &QueryContext<'_>) -> Candidates {
-        let Some(params) = store.lsh_params() else {
-            return Candidates::All;
-        };
-        // The store hands LSH-enabled queries a precomputed signature; the
-        // fallback covers contexts built by hand (e.g. custom callers).
-        let computed;
-        let sig: &[bool] = match query.signature {
-            Some(s) => s,
-            None => {
-                computed = signature_of(store.lsh_planes(), query.vector);
-                &computed
-            }
-        };
-        let mut rows = Vec::new();
-        for band in 0..params.bands {
-            let key = band_key(sig, band, params.rows_per_band);
-            if let Some(members) = store.bucket_rows(seg, band, key) {
-                rows.extend_from_slice(members);
-            }
+    fn candidates(
+        &self,
+        store: &VectorStore,
+        _seg: usize,
+        _query: &QueryContext<'_>,
+    ) -> Candidates {
+        if store.has_lsh() {
+            Candidates::BandMatch
+        } else {
+            Candidates::All
         }
-        rows.sort_unstable();
-        rows.dedup();
-        Candidates::Subset(rows)
     }
 }
 
@@ -128,15 +131,13 @@ mod tests {
         for v in [[1.0f32, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.7, 0.7, 0.0, 0.0]] {
             store.insert(&v);
         }
-        // A context without a precomputed signature must produce the same
-        // candidates the store's own (signature-carrying) path does.
+        // A context without a precomputed signature must resolve to the
+        // same candidates the store's own (signature-carrying) path does.
         let q = [0.9f32, 0.3, 0.0, 0.0];
-        let via_fallback = LshCandidates.candidates(&store, 0, &ctx(&q));
+        assert_eq!(LshCandidates.candidates(&store, 0, &ctx(&q)), Candidates::BandMatch);
+        let via_fallback = store.band_union(0, &ctx(&q));
+        assert_eq!(via_fallback, store.band_union(0, &store.prepare_query(&q).ctx()));
         let hits = store.search(&q, 3, &LshCandidates);
-        if let Candidates::Subset(rows) = &via_fallback {
-            assert_eq!(rows.len(), hits.len());
-        } else {
-            panic!("LSH-enabled store must emit a subset");
-        }
+        assert_eq!(via_fallback.len(), hits.len());
     }
 }

@@ -73,6 +73,79 @@ pub fn band_key(sig: &[bool], band: usize, rows: usize) -> u64 {
     key ^ ((band as u64) << 32)
 }
 
+/// The signature bits [`band_key`] reads for `band`: the band's last
+/// `min(rows, 64)` bits (a wider band shifts its leading bits out of the
+/// key). Two signatures share the band's bucket iff they agree on these.
+fn band_key_bits(band: usize, rows: usize) -> std::ops::Range<usize> {
+    let end = (band + 1) * rows;
+    end - rows.min(64)..end
+}
+
+/// The band-bucket membership test over packed signatures: a row shares at
+/// least one band bucket with the query iff `query ^ row` is zero on every
+/// bit [`band_key`] reads for some band. The test reads the same XOR words
+/// the Hamming distance does, so the quantized tier's coarse sweep answers
+/// "is this row an LSH candidate?" in-line instead of gathering, sorting
+/// and deduping the band buckets' row lists.
+///
+/// Bands that fit in one word become SWAR fields of that word, tested all
+/// at once: `(y - lo) & !y & hi` is nonzero iff some field of `y` is all
+/// zero. The test is exact, not just a filter: no borrow leaves a nonzero
+/// field, so everything below the lowest zero field subtracts cleanly, and
+/// that field's top bit comes out set. Bands straddling a word boundary are
+/// tested mask by mask.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BandMatcher {
+    /// Per signature word: the SWAR fields of the bands inside it, as
+    /// `(lo, hi)` — every field's lowest and highest bit.
+    words: Vec<(u64, u64)>,
+    /// Bands straddling word boundaries, as `(word, mask)` lists.
+    straddling: Vec<Vec<(usize, u64)>>,
+}
+
+impl BandMatcher {
+    /// The test for a `bands × rows` geometry over packed signatures.
+    pub(crate) fn new(bands: usize, rows: usize) -> Self {
+        let mut words = vec![(0u64, 0u64); packed_len(bands * rows)];
+        let mut straddling = Vec::new();
+        for band in 0..bands {
+            let bits = band_key_bits(band, rows);
+            let (first, last) = (bits.start / 64, (bits.end - 1) / 64);
+            if first == last {
+                let (lo, hi) = &mut words[first];
+                *lo |= 1 << (bits.start % 64);
+                *hi |= 1 << ((bits.end - 1) % 64);
+            } else {
+                straddling.push(
+                    (first..=last)
+                        .map(|w| {
+                            let lo = bits.start.max(w * 64) - w * 64;
+                            let hi = bits.end.min(w * 64 + 64) - w * 64;
+                            (w, u64::MAX >> (64 - (hi - lo)) << lo)
+                        })
+                        .collect(),
+                );
+            }
+        }
+        Self { words, straddling }
+    }
+
+    /// Whether packed signatures `q` and `s` agree on every key bit of at
+    /// least one band — i.e. share that band's bucket.
+    #[inline(always)]
+    pub(crate) fn matches(&self, q: &[u64], s: &[u64]) -> bool {
+        let mut zero_field = 0u64;
+        // Sliced to the query's width so a sweep monomorphized on it
+        // unrolls the loop.
+        for ((&q, &s), &(lo, hi)) in q.iter().zip(s).zip(&self.words[..q.len()]) {
+            let y = q ^ s;
+            zero_field |= y.wrapping_sub(lo) & !y & hi;
+        }
+        (zero_field != 0)
+            | self.straddling.iter().any(|band| band.iter().all(|&(w, m)| (q[w] ^ s[w]) & m == 0))
+    }
+}
+
 /// An LSH blocking index over fixed-dimension embeddings.
 #[derive(Clone, Debug)]
 pub struct LshIndex {
@@ -310,6 +383,32 @@ mod tests {
             }
         }
         assert_eq!(pack_signature(&[]).len(), 0);
+    }
+
+    #[test]
+    fn band_matcher_agrees_with_band_keys() {
+        // Byte-aligned, sub-word, word-straddling (9×9, 15×9, 2×100),
+        // generic-width, whole-word and wider-than-a-word bands.
+        let geometries =
+            [(16, 8), (8, 2), (7, 9), (9, 9), (15, 9), (40, 8), (1, 64), (3, 5), (2, 100), (4, 1)];
+        let mut rng = StdRng::seed_from_u64(17);
+        for (bands, rows) in geometries {
+            let matcher = BandMatcher::new(bands, rows);
+            let bits = bands * rows;
+            for _ in 0..400 {
+                let q: Vec<bool> = (0..bits).map(|_| rng.random_range(0u32..2) == 1).collect();
+                // Flip few bits so that some bands survive intact.
+                let flips = rng.random_range(0..=bands + 1);
+                let mut s = q.clone();
+                for _ in 0..flips {
+                    let i = rng.random_range(0..bits);
+                    s[i] = !s[i];
+                }
+                let want = (0..bands).any(|b| band_key(&q, b, rows) == band_key(&s, b, rows));
+                let got = matcher.matches(&pack_signature(&q), &pack_signature(&s));
+                assert_eq!(got, want, "{bands}x{rows}: q={q:?} s={s:?}");
+            }
+        }
     }
 
     #[test]

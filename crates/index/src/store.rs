@@ -29,6 +29,14 @@
 //!   `rerank_factor × k` survivors with the f32 kernel. Coarse selection is
 //!   a *global* top-R under the (distance, id) total order, so quantized
 //!   results are independent of segment — and shard — layout.
+//!   Under this tier LSH blocking is a band-match test evaluated in the
+//!   sweep itself ([`Candidates::BandMatch`]): a row qualifies iff its
+//!   signature agrees with the query's on every bit of some band, read
+//!   off the XOR words the popcount already computes. Its cost is linear
+//!   in segment rows whatever the bucket occupancy — real embeddings fill
+//!   the buckets, so a bucket-union walk would gather, sort and dedup
+//!   nearly every row before sweeping them anyway. The exact tier still
+//!   scores the bucket union ([`VectorStore::band_union`]).
 //! * **Batched parallel scans** — [`VectorStore::search_batch`] fans
 //!   (query × segment) tasks across crossbeam scoped workers, mirroring the
 //!   `par_chunk_map` dispatch in `tabbin_core::batch`.
@@ -48,6 +56,7 @@ use crate::candidates::{CandidateSource, Candidates, QueryContext};
 use crate::engine::Queryable;
 use crate::lsh::{
     band_key, pack_signature, packed_len, random_planes, signature_of, unpack_signature,
+    BandMatcher,
 };
 use crate::parallel::par_chunk_map;
 use crate::segment::Segment;
@@ -302,7 +311,11 @@ pub struct StoreStats {
     pub pending_rows: usize,
     /// Candidate rows visited by scans (exact or coarse) over the store's
     /// lifetime — with the sharded tier's `shards_probed`, the observable
-    /// evidence that routed queries really do scan sublinearly.
+    /// evidence that routed queries really do scan sublinearly. A full
+    /// scan ([`Candidates::All`]) counts the segment's live rows; an
+    /// LSH-blocked scan ([`Candidates::BandMatch`], on either tier) counts
+    /// the rows sharing a band bucket with the query, tombstoned ones
+    /// included; an explicit [`Candidates::Subset`] counts its length.
     pub rows_scanned: u64,
 }
 
@@ -338,6 +351,9 @@ pub struct VectorStore {
     /// `u64` words per packed signature row (`packed_len` of the signature
     /// width); 0 when LSH is off.
     sig_words: usize,
+    /// The band-bucket membership test over packed signatures, for the
+    /// coarse sweep's in-line [`Candidates::BandMatch`]; empty without LSH.
+    band_matcher: BandMatcher,
     segments: Vec<Segment>,
     /// id -> (segment, row) of the live copy.
     locs: HashMap<u64, (u32, u32)>,
@@ -362,6 +378,7 @@ impl Clone for VectorStore {
             cfg: self.cfg,
             planes: self.planes.clone(),
             sig_words: self.sig_words,
+            band_matcher: self.band_matcher.clone(),
             segments: self.segments.clone(),
             locs: self.locs.clone(),
             next_id: self.next_id,
@@ -397,6 +414,9 @@ impl VectorStore {
             dim,
             cfg,
             sig_words: cfg.lsh.map_or(0, |p| packed_len(p.bands * p.rows_per_band)),
+            band_matcher: cfg
+                .lsh
+                .map_or_else(BandMatcher::default, |p| BandMatcher::new(p.bands, p.rows_per_band)),
             planes,
             segments: Vec::new(),
             locs: HashMap::new(),
@@ -613,11 +633,6 @@ impl VectorStore {
         self.segments[seg].deleted[row]
     }
 
-    /// The store's LSH hyperplanes (empty when LSH is off).
-    pub(crate) fn lsh_planes(&self) -> &[Vec<f32>] {
-        &self.planes
-    }
-
     /// The configured LSH parameters, if any.
     pub fn lsh_params(&self) -> Option<LshParams> {
         self.cfg.lsh
@@ -626,6 +641,37 @@ impl VectorStore {
     /// Rows of segment `seg` sharing the band bucket `key` of `band`.
     pub(crate) fn bucket_rows(&self, seg: usize, band: usize, key: u64) -> Option<&[u32]> {
         self.segments[seg].buckets.get(band)?.get(&key).map(Vec::as_slice)
+    }
+
+    /// Rows of segment `seg` sharing at least one band bucket with the
+    /// query, ascending and deduplicated, tombstoned rows included — how
+    /// the exact tier resolves [`Candidates::BandMatch`], and the reference
+    /// the quantized tier's in-sweep band test is pinned to. Empty on a
+    /// store without LSH.
+    pub fn band_union(&self, seg: usize, query: &QueryContext<'_>) -> Vec<u32> {
+        let Some(params) = self.cfg.lsh else {
+            return Vec::new();
+        };
+        // The store hands LSH-enabled queries a precomputed signature; the
+        // fallback covers contexts built by hand (e.g. custom callers).
+        let computed;
+        let sig: &[bool] = match query.signature {
+            Some(s) => s,
+            None => {
+                computed = signature_of(&self.planes, query.vector);
+                &computed
+            }
+        };
+        let mut rows = Vec::new();
+        for band in 0..params.bands {
+            let key = band_key(sig, band, params.rows_per_band);
+            if let Some(members) = self.bucket_rows(seg, band, key) {
+                rows.extend_from_slice(members);
+            }
+        }
+        rows.sort_unstable();
+        rows.dedup();
+        rows
     }
 
     // --- queries -----------------------------------------------------------
@@ -720,15 +766,14 @@ impl VectorStore {
         let prepared = self.prepare_query(q);
         let ctx = prepared.ctx();
         (0..self.segments.len())
-            .map(|seg| match source.candidates(self, seg, &ctx) {
-                Candidates::All => self.segments[seg].rows() - self.segments[seg].n_deleted,
-                Candidates::Subset(rows) => rows
-                    .iter()
-                    .filter(|&&r| {
-                        (r as usize) < self.segments[seg].rows()
-                            && !self.segments[seg].deleted[r as usize]
-                    })
-                    .count(),
+            .map(|seg| {
+                let s = &self.segments[seg];
+                let rows = match source.candidates(self, seg, &ctx) {
+                    Candidates::All => return s.rows() - s.n_deleted,
+                    Candidates::BandMatch => self.band_union(seg, &ctx),
+                    Candidates::Subset(rows) => rows,
+                };
+                rows.iter().filter(|&&r| (r as usize) < s.rows() && !s.deleted[r as usize]).count()
             })
             .sum()
     }
@@ -924,39 +969,22 @@ impl VectorStore {
         top: &mut CoarseTopR,
     ) {
         let s = &self.segments[seg];
-        let w = self.sig_words;
-        match source.candidates(self, seg, ctx) {
+        let scanned = match source.candidates(self, seg, ctx) {
             Candidates::All => {
-                self.rows_scanned.fetch_add((s.rows() - s.n_deleted) as u64, Ordering::Relaxed);
-                // Monomorphize the full sweep on the signature width so the
-                // inner loop is straight-line XOR+POPCNT with the query
-                // words pinned in registers — the width is a store constant,
-                // so deciding it per row would waste most of the scan.
-                match w {
-                    1 => coarse_scan_all::<1>(qsig, s, top),
-                    2 => coarse_scan_all::<2>(qsig, s, top),
-                    3 => coarse_scan_all::<3>(qsig, s, top),
-                    4 => coarse_scan_all::<4>(qsig, s, top),
-                    _ => {
-                        let mut worst = top.worst_dist();
-                        for ((sig, &id), &dead) in
-                            s.sigs.chunks_exact(w).zip(&s.ids).zip(&s.deleted)
-                        {
-                            let dist = hamming(qsig, sig);
-                            if dist > worst || dead {
-                                continue;
-                            }
-                            top.push(id, dist);
-                            worst = top.worst_dist();
-                        }
-                    }
-                }
+                coarse_scan::<false>(qsig, self.sig_words, s, top, &self.band_matcher);
+                (s.rows() - s.n_deleted) as u64
+            }
+            // LSH blocking resolves in the sweep: the band test reads the
+            // XOR words the distance does, so candidate generation costs
+            // the same per row however full the band buckets are.
+            Candidates::BandMatch => {
+                coarse_scan::<true>(qsig, self.sig_words, s, top, &self.band_matcher)
             }
             Candidates::Subset(rows) => {
-                self.rows_scanned.fetch_add(rows.len() as u64, Ordering::Relaxed);
                 // `worst` caches the accumulator's entry bar so far rows
                 // are rejected on one compare; ties (`dist == worst`) still
                 // route through `push`, which owns the (dist, id) order.
+                let w = self.sig_words;
                 let mut worst = top.worst_dist();
                 for &row in &rows {
                     let row = row as usize;
@@ -969,8 +997,10 @@ impl VectorStore {
                         }
                     }
                 }
+                rows.len() as u64
             }
-        }
+        };
+        self.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
     }
 
     /// Scores one segment's candidates for one prepared query.
@@ -984,7 +1014,7 @@ impl VectorStore {
         let s = &self.segments[seg];
         let nq = ctx.vector;
         let mut topk = TopK::new(k);
-        match source.candidates(self, seg, ctx) {
+        let rows = match source.candidates(self, seg, ctx) {
             Candidates::All => {
                 self.rows_scanned.fetch_add((s.rows() - s.n_deleted) as u64, Ordering::Relaxed);
                 for row in 0..s.rows() {
@@ -992,16 +1022,17 @@ impl VectorStore {
                         topk.push(s.ids[row], dot(nq, self.row(seg, row)));
                     }
                 }
+                return topk;
             }
-            Candidates::Subset(rows) => {
-                self.rows_scanned.fetch_add(rows.len() as u64, Ordering::Relaxed);
-                for &r in &rows {
-                    let row = r as usize;
-                    debug_assert!(row < s.rows(), "candidate row out of range");
-                    if row < s.rows() && !s.deleted[row] {
-                        topk.push(s.ids[row], dot(nq, self.row(seg, row)));
-                    }
-                }
+            Candidates::BandMatch => self.band_union(seg, ctx),
+            Candidates::Subset(rows) => rows,
+        };
+        self.rows_scanned.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        for &r in &rows {
+            let row = r as usize;
+            debug_assert!(row < s.rows(), "candidate row out of range");
+            if row < s.rows() && !s.deleted[row] {
+                topk.push(s.ids[row], dot(nq, self.row(seg, row)));
             }
         }
         topk
@@ -1159,27 +1190,73 @@ impl VectorStore {
     }
 }
 
-/// One segment's full coarse sweep at a compile-time signature width: the
-/// query words live in registers, the per-row work is `W` XOR+POPCNT pairs
-/// plus one compare against the accumulator's cached entry bar. Ties
-/// (`dist == worst`) still route through [`CoarseTopR::push`], which owns
-/// the (distance, id) total order.
-#[inline]
-fn coarse_scan_all<const W: usize>(qsig: &[u64], s: &Segment, top: &mut CoarseTopR) {
+/// One segment's coarse sweep over its whole signature slab: every row —
+/// or, with `BANDS`, every row sharing a band bucket with the query — is
+/// Hamming-scored against the accumulator's cached entry bar. Returns how
+/// many rows passed the band test, tombstoned ones included (meaningless
+/// without `BANDS`). Ties (`dist == worst`) still route through
+/// [`CoarseTopR::push`], which owns the (distance, id) total order.
+#[inline(always)]
+fn coarse_scan<const BANDS: bool>(
+    qsig: &[u64],
+    w: usize,
+    s: &Segment,
+    top: &mut CoarseTopR,
+    bands: &BandMatcher,
+) -> u64 {
+    // Monomorphize on the signature width so the inner loop is
+    // straight-line XOR+POPCNT with the query words pinned in registers —
+    // the width is a store constant, so deciding it per row would waste
+    // most of the scan.
+    match w {
+        1 => coarse_scan_fixed::<1, BANDS>(qsig, s, top, bands),
+        2 => coarse_scan_fixed::<2, BANDS>(qsig, s, top, bands),
+        3 => coarse_scan_fixed::<3, BANDS>(qsig, s, top, bands),
+        4 => coarse_scan_fixed::<4, BANDS>(qsig, s, top, bands),
+        _ => {
+            let mut worst = top.worst_dist();
+            let mut kept = 0u64;
+            for ((sig, &id), &dead) in s.sigs.chunks_exact(w).zip(&s.ids).zip(&s.deleted) {
+                let matched = !BANDS || bands.matches(qsig, sig);
+                kept += matched as u64;
+                let dist = hamming(qsig, sig);
+                if !matched | dead | (dist > worst) {
+                    continue;
+                }
+                top.push(id, dist);
+                worst = top.worst_dist();
+            }
+            kept
+        }
+    }
+}
+
+/// [`coarse_scan`] at a compile-time signature width: per row, `W`
+/// XOR+POPCNT pairs, the band test on the same XOR words, and one
+/// branch — rows the band test rejects cost no misprediction.
+#[inline(always)]
+fn coarse_scan_fixed<const W: usize, const BANDS: bool>(
+    qsig: &[u64],
+    s: &Segment,
+    top: &mut CoarseTopR,
+    bands: &BandMatcher,
+) -> u64 {
     let q: [u64; W] = qsig.try_into().expect("store-wide signature width");
     let mut worst = top.worst_dist();
+    let mut kept = 0u64;
     for ((sig, &id), &dead) in s.sigs.chunks_exact(W).zip(&s.ids).zip(&s.deleted) {
         let sig: &[u64; W] = sig.try_into().expect("chunks_exact yields W words");
-        let mut dist = 0u32;
-        for i in 0..W {
-            dist += (sig[i] ^ q[i]).count_ones();
-        }
-        if dist > worst || dead {
+        let x: [u64; W] = std::array::from_fn(|i| sig[i] ^ q[i]);
+        let matched = !BANDS || bands.matches(&q, sig);
+        kept += matched as u64;
+        let dist: u32 = x.iter().map(|w| w.count_ones()).sum();
+        if !matched | dead | (dist > worst) {
             continue;
         }
         top.push(id, dist);
         worst = top.worst_dist();
     }
+    kept
 }
 
 impl VectorSink for VectorStore {
