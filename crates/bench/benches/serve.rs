@@ -1,6 +1,6 @@
 //! Serving-tier benchmark: the full `tabbin-serve` stack (tagged-frame
 //! wire protocol → readiness-driven event loop → admission queue → worker
-//! pool → micro-batcher → query engine → sharded store) under closed-loop
+//! pool → query engine → sharded store) under closed-loop
 //! load at several offered concurrencies, plus a pipelining section that
 //! measures what protocol v2 buys: one connection with a window of tagged
 //! requests in flight versus the one-outstanding blocking client.

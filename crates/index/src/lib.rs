@@ -37,9 +37,9 @@
 //!   both store tiers. Loaded stores answer queries byte-identically.
 //! * [`QueryEngine`] ([`engine`]) — query *execution* extracted out of
 //!   storage: candidate-source planning ([`ProbePolicy`], ef-style probe
-//!   width), an LRU result cache keyed on normalized query vectors, and a
-//!   leader/follower [`MicroBatcher`] coalescing concurrent single queries
-//!   into batched scans. The stores stay pure storage behind the
+//!   width) and an LRU result cache keyed on normalized query vectors,
+//!   shared by reference across concurrent callers. The stores stay pure
+//!   storage behind the
 //!   [`Queryable`] trait; the engine is what consumers (eval, examples,
 //!   the `tabbin-serve` network tier) talk to.
 //! * [`VectorSink`] — the insertion surface the batched embedding pipeline
@@ -67,8 +67,7 @@ pub mod wal;
 
 pub use candidates::{CandidateSource, Candidates, ExactScan, LshCandidates, QueryContext};
 pub use engine::{
-    EngineConfig, EngineStats, MicroBatchStats, MicroBatcher, NprobePolicy, ProbePolicy,
-    QueryEngine, QueryPlan, Queryable,
+    EngineConfig, EngineStats, NprobePolicy, ProbePolicy, QueryEngine, QueryPlan, Queryable,
 };
 pub use lsh::LshIndex;
 pub use router::{HashRouter, IvfRouter, Router};

@@ -20,10 +20,8 @@
 //! * [`Server`] ([`server`]) — the event-loop front over a worker pool: a
 //!   **bounded admission queue** sheds load with an explicit
 //!   [`Response::Overloaded`] reply carrying a retry-after hint, and
-//!   workers submit through the engine's
-//!   [`MicroBatcher`](tabbin_index::MicroBatcher) so concurrent requests
-//!   — across connections or pipelined on one — coalesce into batched
-//!   storage scans.
+//!   every worker runs its cache misses through the shared engine in
+//!   parallel.
 //! * [`Client`] / [`PipelinedClient`] ([`client`]) — a blocking
 //!   one-outstanding connection, and a windowed pipelined one that keeps
 //!   many tagged requests in flight and matches replies by tag via

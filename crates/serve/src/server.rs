@@ -9,8 +9,8 @@
 //!                        │  try_send ──► bounded admission queue ──► worker pool
 //!                        │     │ full                                   │
 //!                        │     ▼                                        ▼
-//!                        │  Overloaded(retry-after) reply    MicroBatcher::submit
-//!                        ◄── completion mailbox ◄──────────── engine.query_batch
+//!                        │  Overloaded(retry-after) reply    engine.query_probed
+//!                        ◄── completion mailbox ◄───────────────────────┘
 //! ```
 //!
 //! * **Multiplexing** — protocol v2 tags every request, so one connection
@@ -26,10 +26,9 @@
 //!   ([`ServeConfig::max_conn_queued_bytes`]); past it the reactor stops
 //!   reading that socket until replies drain, so a slow reader throttles
 //!   itself instead of ballooning server memory.
-//! * **Micro-batching** — workers submit through the engine's
-//!   [`MicroBatcher`], so requests in flight concurrently — across
-//!   connections *or* pipelined on one — coalesce into one batched
-//!   storage scan.
+//! * **Parallel misses** — each worker calls
+//!   [`QueryEngine::query_probed`] itself. The engine is shared by
+//!   reference, so cache misses run on every worker at once.
 //! * **Stats bypass admission** — a health probe must answer *especially*
 //!   when the queue is full, so `Stats` requests are served inline on the
 //!   I/O thread from atomic counters, never queued.
@@ -41,8 +40,8 @@
 use crate::conn::ConnState;
 use crate::reactor::{run_io_loop, Action, Completion, IoHandle};
 use crate::wire::{
-    decode_request, encode_hits_payloads, encode_response, payload_tag, Request, Response,
-    StatsReply, CONNECTION_TAG, MAX_FRAME_LEN,
+    decode_request, encode_hits_payloads, encode_response, payload_tag, MicroBatchStats, Request,
+    Response, StatsReply, CONNECTION_TAG, MAX_FRAME_LEN,
 };
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -51,7 +50,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tabbin_index::{DurabilityPolicy, MicroBatcher, QueryEngine, ShardedStore};
+use tabbin_index::{DurabilityPolicy, QueryEngine, ShardedStore};
 
 /// Construction-time options for a [`Server`].
 #[derive(Clone, Copy, Debug)]
@@ -61,9 +60,9 @@ pub struct ServeConfig {
     /// I/O threads owning the client sockets.
     pub io_threads: usize,
     /// Admission queue capacity; requests past it are shed with
-    /// [`Response::Overloaded`]. `0` means auto: 8 × `workers`, enough
-    /// runway for every worker to have a full micro-batch queued behind
-    /// it before shedding starts.
+    /// [`Response::Overloaded`]. `0` means auto: 8 × `workers`, so a
+    /// short burst queues several jobs deep behind every busy worker
+    /// before shedding starts.
     pub queue_capacity: usize,
     /// Most concurrent connections; further accepts are answered with one
     /// `Overloaded` frame and closed.
@@ -127,7 +126,7 @@ struct QueryJob {
 
 /// State shared by the acceptor, I/O threads, and workers.
 struct Shared {
-    batcher: MicroBatcher<ShardedStore>,
+    engine: Arc<QueryEngine<ShardedStore>>,
     cfg: ServeConfig,
     admit: SyncSender<QueryJob>,
     io: Vec<Arc<IoHandle>>,
@@ -137,16 +136,21 @@ struct Shared {
     connections: AtomicUsize,
     shed: AtomicU64,
     served: AtomicU64,
+    /// Queries a worker executed (cache misses at admission time).
+    executed: AtomicU64,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn engine(&self) -> &Arc<QueryEngine<ShardedStore>> {
-        self.batcher.engine()
+    /// The per-request `nprobe` override: `None` lets the engine's policy
+    /// decide.
+    fn nprobe(&self) -> Option<usize> {
+        (self.cfg.nprobe > 0).then_some(self.cfg.nprobe)
     }
 
     fn stats(&self) -> StatsReply {
-        let engine = self.engine();
+        let engine = &self.engine;
+        let executed = self.executed.load(Ordering::Relaxed);
         let shards = engine.store().stats();
         let wal = engine.store().wal_stats();
         StatsReply {
@@ -154,14 +158,14 @@ impl Shared {
             imbalance: shards.imbalance(),
             shards,
             engine: engine.stats(),
-            batcher: self.batcher.stats(),
+            batcher: MicroBatchStats { submitted: executed, batches: executed },
             queue_depth: self.depth.load(Ordering::Relaxed),
             queue_capacity: self.cfg.resolved_queue_capacity(),
             connections: self.connections.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
             router: engine.store().router_name().to_string(),
-            nprobe: engine.plan_probed(1, self.batcher.nprobe()).nprobe,
+            nprobe: engine.plan_probed(1, self.nprobe()).nprobe,
             wal_depth_bytes: wal.map_or(0, |w| w.depth_bytes),
             last_fsync_lsn: wal.map_or(0, |w| w.last_fsync_lsn),
             replay_records: wal.map_or(0, |w| w.replay_records),
@@ -214,7 +218,7 @@ impl Server {
             .map(|_| IoHandle::new().map(Arc::new))
             .collect::<io::Result<_>>()?;
         let shared = Arc::new(Shared {
-            batcher: MicroBatcher::with_nprobe(engine, (cfg.nprobe > 0).then_some(cfg.nprobe)),
+            engine,
             cfg,
             admit,
             io,
@@ -222,6 +226,7 @@ impl Server {
             connections: AtomicUsize::new(0),
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
+            executed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
 
@@ -290,7 +295,7 @@ impl Server {
         }
         // Workers are quiescent; make everything they logged durable so a
         // graceful stop under `Interval`/`Never` loses nothing.
-        let _ = self.shared.engine().store().wal_flush();
+        let _ = self.shared.engine.store().wal_flush();
     }
 }
 
@@ -339,7 +344,7 @@ fn handle_payload(
                 let err = Response::Error("server is shutting down".into());
                 return Action::Reply(vec![encode_response(tag, &err)]);
             }
-            let dim = shared.engine().dim();
+            let dim = shared.engine.dim();
             if vector.len() != dim {
                 let err = Response::Error(format!(
                     "query of {} components, store is {dim}",
@@ -359,10 +364,10 @@ fn handle_payload(
             // completion round-trip. This is what makes a pipelined
             // connection over a warm cache transport-bound rather than
             // scheduler-bound.
-            // `try_cached_probed` shares the batcher's nprobe override, so
-            // the inline hit and the worker-path miss compute one cache key.
+            // The inline lookup and the worker's `query_probed` share one
+            // nprobe override, so they compute one cache key.
             if let Some(hits) =
-                shared.engine().try_cached_probed(&vector, k as usize, shared.batcher.nprobe())
+                shared.engine.try_cached_probed(&vector, k as usize, shared.nprobe())
             {
                 state.finish_tag(tag);
                 shared.served.fetch_add(1, Ordering::Relaxed);
@@ -433,7 +438,8 @@ fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<QueryJob>>) {
         match job {
             Ok(job) => {
                 shared.depth.fetch_sub(1, Ordering::Relaxed);
-                let hits = shared.batcher.submit(&job.vector, job.k);
+                let hits = shared.engine.query_probed(&job.vector, job.k, shared.nprobe());
+                shared.executed.fetch_add(1, Ordering::Relaxed);
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 let payloads = encode_hits_payloads(job.tag, &hits);
                 let completion = Completion { conn: job.conn, tag: job.tag, payloads };

@@ -38,7 +38,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
-use tabbin_index::{EngineStats, Hit, MicroBatchStats, ShardedStats};
+use tabbin_index::{EngineStats, Hit, ShardedStats};
 
 /// Hard ceiling on one frame's payload (1 MiB). A dim-4096 query is
 /// ~16 KiB and a full hits chunk ~96 KiB; the bound leaves an order of
@@ -105,7 +105,18 @@ pub enum Response {
     Error(String),
 }
 
-/// The server's `Stats` payload: storage, engine, batcher, and admission
+/// Worker-path query counters. Each query a worker executes is one
+/// submission run as an engine call of its own, so `batches ==
+/// submitted`; cache hits answered on an I/O thread count in neither.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MicroBatchStats {
+    /// Queries the worker pool executed.
+    pub submitted: u64,
+    /// Engine calls those queries made.
+    pub batches: u64,
+}
+
+/// The server's `Stats` payload: storage, engine, worker, and admission
 /// counters in one reply — the health endpoint the ROADMAP promised.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsReply {
@@ -116,7 +127,7 @@ pub struct StatsReply {
     pub shard_depths: Vec<usize>,
     /// Query-engine cache and storage-call counters.
     pub engine: EngineStats,
-    /// Micro-batcher coalescing counters.
+    /// Worker-path query counters.
     pub batcher: MicroBatchStats,
     /// Requests currently admitted and waiting for a worker.
     pub queue_depth: usize,

@@ -2,8 +2,7 @@
 //! stand up the `tabbin-serve` TCP server on a loopback port, and retrieve
 //! the most similar tables **over the wire** — the `cancer_table_search`
 //! scenario pushed through the full serving stack (wire protocol, bounded
-//! admission queue, worker pool, micro-batcher, query engine, sharded
-//! store).
+//! admission queue, worker pool, query engine, sharded store).
 //!
 //! Run with: `cargo run --example serve_table_search`
 
@@ -95,7 +94,7 @@ fn main() {
     );
     drop(pipelined);
 
-    // The stats endpoint is the health surface: storage, engine, batcher,
+    // The stats endpoint is the health surface: storage, engine, worker
     // and admission counters in one reply.
     let stats = client.stats().expect("stats over the wire");
     println!(
